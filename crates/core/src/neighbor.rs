@@ -1,16 +1,22 @@
 //! Binned neighbor lists.
 //!
 //! Reproduces the LAMMPS neighbor machinery the paper's case studies
-//! rest on: atoms (including ghosts) are binned into cells of the
-//! neighbor cutoff, and each owned atom gathers neighbors from its
-//! 3×3×3 bin stencil. Two list styles exist (§4.1):
+//! rest on: atoms (including ghosts) are binned into cells half the
+//! neighbor cutoff wide (LAMMPS' default), and each owned atom gathers
+//! neighbors from a precomputed stencil — the bins whose closest
+//! distance to its own bin is below the cutoff. Two list styles exist
+//! (§4.1):
 //!
 //! * **full** — every `i–j` pair appears in both `i`'s and `j`'s rows;
 //!   forces are computed twice ("redundant computation") but each atom
-//!   only writes its own row, avoiding atomics. GPU default.
+//!   only writes its own row, avoiding atomics. GPU default. Walks the
+//!   whole stencil.
 //! * **half** — each pair appears once (Newton's third law); the force
 //!   kernel writes both atoms' rows and needs a deconfliction strategy
-//!   (`ScatterView`). CPU default.
+//!   (`ScatterView`). CPU default. Walks the half stencil: `j` is stored
+//!   on `i` iff `(z, y, x)ⱼ >lex (z, y, x)ᵢ`, so bins below `i`'s z-bin
+//!   are skipped, bins above it are kept untested, and only `i`'s own
+//!   z-plane compares coordinates.
 //!
 //! The list is stored as a 2-D `View` (`[atom, slot]`) so the layout
 //! adapts to the execution space: rows contiguous on the host for
@@ -19,6 +25,7 @@
 use crate::atom::AtomData;
 use crate::domain::Domain;
 use lkk_kokkos::{Space, View, View1, View2};
+use std::sync::OnceLock;
 
 /// Neighbor list construction settings.
 #[derive(Debug, Clone, Copy)]
@@ -32,11 +39,12 @@ pub struct NeighborSettings {
     /// Check for rebuild every this many steps.
     pub every: usize,
     /// Canonically sort every neighbor row by the neighbor's image
-    /// position after each (re)build. Off by default: the bin-major fill
-    /// order is already deterministic for a fixed decomposition, and the
-    /// committed baselines pin it. Turn on (together with full lists and
-    /// own-row accumulation) to make per-atom force sums independent of
-    /// the decomposition — the knob the balance-equivalence tests use to
+    /// position after each (re)build. Off by default: the stencil fill
+    /// order (stencil column by column, each column's bins in z order,
+    /// atoms within a bin in index order) is already deterministic for a
+    /// fixed decomposition, and the committed baselines pin it. Turn on
+    /// (together with full lists and own-row accumulation) to make
+    /// per-atom force sums independent of the decomposition — the knob the balance-equivalence tests use to
     /// compare rebalanced runs bitwise against static ones.
     pub sort_rows: bool,
 }
@@ -63,31 +71,47 @@ impl NeighborSettings {
 /// All backing vectors are reused across [`Bins::rebuild`] calls, so a
 /// persistent `Bins` (as held by [`NeighborList`]) stops touching the
 /// allocator once its capacity has peaked.
+///
+/// Neighbor binning pads the grid with empty bins on every side, as
+/// many as the search reach spans, and keeps the stencil for that
+/// reach: a stencil offset from any occupied bin is then a valid grid
+/// index, so the fill walks it without a bounds test.
 #[derive(Debug)]
 pub struct Bins {
-    lo: [f64; 3],
     inv_size: [f64; 3],
+    /// Bins per axis over the binned region (padding excluded).
     nbins: [usize; 3],
-    /// CSR offsets per bin, length `nbins_total + 1`.
+    /// Empty bins on each side of every axis.
+    pad: [usize; 3],
+    /// CSR offsets per grid bin (padding included), length `total + 1`.
     starts: Vec<usize>,
     /// Atom indices ordered by bin.
     atoms: Vec<u32>,
-    /// Counting-sort scratch, reused across rebuilds.
+    /// Grid bin of every atom (the counting-sort key), reused across
+    /// rebuilds.
     bin_idx: Vec<usize>,
     cursor: Vec<usize>,
+    /// One `(offset, height)` entry per stencil column `(dx, dy)`: the
+    /// grid offset of the column's bin in the home bin's z-plane, and
+    /// the largest `|dz|` whose bin is within reach.
+    stencil: Vec<(isize, usize)>,
+    /// `(grid dims, bin-width bits, reach bits)` the stencil is for.
+    stencil_key: ([usize; 3], [u64; 3], u64),
 }
 
 impl Bins {
     /// An empty bin structure ready for [`Bins::rebuild`].
     pub fn empty() -> Bins {
         Bins {
-            lo: [0.0; 3],
             inv_size: [0.0; 3],
             nbins: [1; 3],
+            pad: [0; 3],
             starts: Vec::new(),
             atoms: Vec::new(),
             bin_idx: Vec::new(),
             cursor: Vec::new(),
+            stencil: Vec::new(),
+            stencil_key: ([0; 3], [0; 3], 0),
         }
     }
 
@@ -101,6 +125,13 @@ impl Bins {
 
     /// Re-bin in place, reusing every scratch vector's capacity.
     pub fn rebuild(&mut self, atoms: &AtomData, domain: &Domain, bin_size: f64, cutghost: f64) {
+        self.bin(atoms, domain, bin_size, cutghost, 0.0);
+    }
+
+    /// Re-bin in place with the grid padded by the bins `reach` spans,
+    /// and bring the stencil of a `reach` search up to date (recomputed
+    /// only when the grid geometry or the reach changed).
+    fn bin(&mut self, atoms: &AtomData, domain: &Domain, bin_size: f64, cutghost: f64, reach: f64) {
         let nall = atoms.nall();
         let lo = [
             domain.lo[0] - cutghost,
@@ -114,23 +145,29 @@ impl Bins {
         ];
         let mut nbins = [0usize; 3];
         let mut inv_size = [0f64; 3];
+        let mut pad = [0usize; 3];
+        let mut dims = [0usize; 3];
         for k in 0..3 {
             nbins[k] = (((hi[k] - lo[k]) / bin_size).floor() as usize).max(1);
             inv_size[k] = nbins[k] as f64 / (hi[k] - lo[k]);
+            pad[k] = (reach * inv_size[k]).ceil() as usize;
+            dims[k] = nbins[k] + 2 * pad[k];
         }
-        self.lo = lo;
         self.inv_size = inv_size;
         self.nbins = nbins;
-        let total = nbins[0] * nbins[1] * nbins[2];
+        self.pad = pad;
+        let total = dims[0] * dims[1] * dims[2];
         let xh = atoms.x.h_view();
+        // Monotone in each coordinate: a larger bin coordinate means a
+        // strictly larger position (the half stencil relies on this).
         let bin_of = |i: usize| -> usize {
             let p = xh.get3(i);
             let mut b = [0usize; 3];
             for k in 0..3 {
                 let t = ((p[k] - lo[k]) * inv_size[k]) as isize;
-                b[k] = t.clamp(0, nbins[k] as isize - 1) as usize;
+                b[k] = t.clamp(0, nbins[k] as isize - 1) as usize + pad[k];
             }
-            (b[0] * nbins[1] + b[1]) * nbins[2] + b[2]
+            (b[0] * dims[1] + b[1]) * dims[2] + b[2]
         };
         // Counting sort (all buffers capacity-reusing).
         self.bin_idx.clear();
@@ -151,22 +188,58 @@ impl Bins {
             self.atoms[self.cursor[b]] = i as u32;
             self.cursor[b] += 1;
         }
-    }
-
-    #[inline]
-    fn bin_coords(&self, x: [f64; 3]) -> [isize; 3] {
-        let mut b = [0isize; 3];
-        for k in 0..3 {
-            b[k] = (((x[k] - self.lo[k]) * self.inv_size[k]) as isize)
-                .clamp(0, self.nbins[k] as isize - 1);
+        if reach > 0.0 {
+            self.update_stencil(dims, reach);
         }
-        b
     }
 
+    /// The stencil of a `reach` search: every bin offset whose closest
+    /// distance to the home bin is `< reach`, grouped into `(dx, dy)`
+    /// columns. Along one axis, bins `o` apart are `(|o| - 1) × width`
+    /// apart at their closest, so a column's in-reach bins are a
+    /// contiguous `dz` range symmetric about 0.
+    fn update_stencil(&mut self, dims: [usize; 3], reach: f64) {
+        let width = self.inv_size.map(|inv| 1.0 / inv);
+        let key = (dims, width.map(f64::to_bits), reach.to_bits());
+        if key == self.stencil_key {
+            return;
+        }
+        self.stencil_key = key;
+        self.stencil.clear();
+        let gap_sq = |o: isize, k: usize| {
+            let g = o.unsigned_abs().saturating_sub(1) as f64 * width[k];
+            g * g
+        };
+        let reach_sq = reach * reach;
+        let [px, py, pz] = self.pad.map(|p| p as isize);
+        for dx in -px..=px {
+            for dy in -py..=py {
+                let plane = gap_sq(dx, 0) + gap_sq(dy, 1);
+                if plane >= reach_sq {
+                    continue;
+                }
+                let height = (1..=pz)
+                    .take_while(|&dz| plane + gap_sq(dz, 2) < reach_sq)
+                    .count();
+                let offset = (dx * dims[1] as isize + dy) * dims[2] as isize;
+                self.stencil.push((offset, height));
+            }
+        }
+    }
+
+    /// Atoms of the grid bins `first..end`, contiguous in bin order.
     #[inline]
-    fn bin_atoms(&self, b: [isize; 3]) -> &[u32] {
-        let idx = (b[0] as usize * self.nbins[1] + b[1] as usize) * self.nbins[2] + b[2] as usize;
-        &self.atoms[self.starts[idx]..self.starts[idx + 1]]
+    fn span(&self, first: usize, end: usize) -> &[u32] {
+        &self.atoms[self.starts[first]..self.starts[end]]
+    }
+
+    /// Atoms of the bin at (unpadded) bin coordinates `b`.
+    #[inline]
+    fn bin_atoms(&self, b: [usize; 3]) -> &[u32] {
+        let g = [b[0] + self.pad[0], b[1] + self.pad[1], b[2] + self.pad[2]];
+        let [_, dy, dz] = [0, 1, 2].map(|k| self.nbins[k] + 2 * self.pad[k]);
+        let idx = (g[0] * dy + g[1]) * dz + g[2];
+        self.span(idx, idx + 1)
     }
 
     /// The spatial ordering of atoms (bin-major), used for spatial
@@ -188,7 +261,7 @@ impl Bins {
         out.clear();
         let [nx, ny, nz] = self.nbins;
         let mut take = |b: [usize; 3]| {
-            out.extend_from_slice(self.bin_atoms([b[0] as isize, b[1] as isize, b[2] as isize]));
+            out.extend_from_slice(self.bin_atoms(b));
         };
         for bx in 0..nx {
             if bx == 0 || bx == nx - 1 {
@@ -244,8 +317,10 @@ pub struct NeighborList {
     sort_scratch: Vec<u32>,
     /// Number of heap growths across rebuilds (0 in steady state).
     grow_count: u64,
-    /// Cached `working_set_bytes(2048)`, refreshed on every rebuild.
-    ws2048: f64,
+    /// `working_set_bytes(2048)` of the current list, computed on the
+    /// first [`NeighborList::working_set_bytes_cached`] call after a
+    /// rebuild (which clears it).
+    ws2048: OnceLock<f64>,
 }
 
 impl NeighborList {
@@ -268,7 +343,7 @@ impl NeighborList {
             bins: Bins::empty(),
             sort_scratch: Vec::new(),
             grow_count: 0,
-            ws2048: 0.0,
+            ws2048: OnceLock::new(),
         };
         // The initial build's allocations are construction, not churn.
         list.rebuild(atoms, domain, settings, space);
@@ -297,7 +372,8 @@ impl NeighborList {
         let nlocal = atoms.nlocal;
         let cutneigh = settings.cutneigh();
         let cutsq = cutneigh * cutneigh;
-        self.bins.rebuild(atoms, domain, cutneigh, cutneigh);
+        self.bins
+            .bin(atoms, domain, 0.5 * cutneigh, cutneigh, cutneigh);
         // Initial per-row capacity from density estimate.
         let density = atoms.nall() as f64 / {
             let l = domain.lengths();
@@ -345,7 +421,7 @@ impl NeighborList {
             if settings.sort_rows {
                 self.sort_rows_canonical(atoms);
             }
-            self.ws2048 = self.working_set_bytes(2048);
+            self.ws2048 = OnceLock::new();
             return;
         }
     }
@@ -405,54 +481,48 @@ impl NeighborList {
             (0usize, 0u64),
             |i| {
                 let xi = xh.get3(i);
-                let bc = bins.bin_coords(xi);
+                let within = |ju: u32| {
+                    let xj = xh.get3(ju as usize);
+                    let d = [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]];
+                    d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < cutsq
+                };
                 let mut count = 0usize;
-                for dx in -1isize..=1 {
-                    for dy in -1isize..=1 {
-                        for dz in -1isize..=1 {
-                            let b = [bc[0] + dx, bc[1] + dy, bc[2] + dz];
-                            if b.iter()
-                                .zip(&bins.nbins)
-                                .any(|(&bb, &n)| bb < 0 || bb >= n as isize)
-                            {
-                                continue;
+                let mut keep = |ju: u32| {
+                    if count < maxneigh {
+                        // SAFETY: row `i` is written by this work item
+                        // only, and `count < maxneigh` keeps the slot
+                        // inside the `[nlocal, maxneigh]` view.
+                        unsafe { nw.write([i, count], ju) };
+                    }
+                    count += 1;
+                };
+                let home = bins.bin_idx[i];
+                for &(offset, height) in &bins.stencil {
+                    // The column's bin in i's z-plane; the padding keeps
+                    // `mid ± height` inside the grid.
+                    let mid = home.wrapping_add_signed(offset);
+                    if half {
+                        for &ju in bins.span(mid, mid + 1) {
+                            if above(xh.get3(ju as usize), xi) && within(ju) {
+                                keep(ju);
                             }
-                            for &ju in bins.bin_atoms(b) {
-                                let j = ju as usize;
-                                if j == i {
-                                    continue;
-                                }
-                                let xj = xh.get3(j);
-                                if half {
-                                    // Half-list ownership rule: local
-                                    // pairs stored on the lower index;
-                                    // ghost pairs on coordinate order.
-                                    if j < nlocal {
-                                        if j < i {
-                                            continue;
-                                        }
-                                    } else {
-                                        let keep = xj[2] > xi[2]
-                                            || (xj[2] == xi[2] && xj[1] > xi[1])
-                                            || (xj[2] == xi[2] && xj[1] == xi[1] && xj[0] > xi[0]);
-                                        if !keep {
-                                            continue;
-                                        }
-                                    }
-                                }
-                                let d = [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]];
-                                let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                                if rsq < cutsq {
-                                    if count < maxneigh {
-                                        unsafe { nw.write([i, count], ju) };
-                                    }
-                                    count += 1;
-                                }
+                        }
+                        // Higher z-bins hold only atoms above i.
+                        for &ju in bins.span(mid + 1, mid + height + 1) {
+                            if within(ju) {
+                                keep(ju);
+                            }
+                        }
+                    } else {
+                        for &ju in bins.span(mid - height, mid + height + 1) {
+                            if ju as usize != i && within(ju) {
+                                keep(ju);
                             }
                         }
                     }
                 }
                 let stored = count.min(maxneigh);
+                // SAFETY: element `i` is written by this work item only.
                 unsafe { cw.write([i], stored as u32) };
                 (count, stored as u64)
             },
@@ -460,14 +530,14 @@ impl NeighborList {
         )
     }
 
-    /// Cached [`Self::working_set_bytes`]`(2048)` of the current list,
-    /// refreshed on every rebuild. The list is immutable between
-    /// rebuilds, so the per-step cost-model query returns exactly this
-    /// value; caching it moves an `O(total_pairs)` hash-set sampling out
-    /// of the per-step hot path, where it used to rival the small-system
-    /// LJ force kernel itself in wall-clock cost.
+    /// [`Self::working_set_bytes`]`(2048)` of the current list. Only the
+    /// device cost model reads it, so it is computed on the first call
+    /// after a rebuild — an `O(total_pairs)` hash-set sampling that
+    /// host-space runs never pay — and served from the cache until the
+    /// next rebuild. The list is immutable between rebuilds, so every
+    /// call returns exactly `working_set_bytes(2048)`.
     pub fn working_set_bytes_cached(&self) -> f64 {
-        self.ws2048
+        *self.ws2048.get_or_init(|| self.working_set_bytes(2048))
     }
 
     /// Measured per-block neighbor working set: the average number of
@@ -514,6 +584,15 @@ impl NeighborList {
             self.total_pairs as f64 / self.nlocal as f64
         }
     }
+}
+
+/// The half-list ownership rule: `j` is stored on `i` iff
+/// `(z, y, x)ⱼ >lex (z, y, x)ᵢ`. It reads coordinates only, so both
+/// atoms of a pair — owned or ghost, on one rank or two — decide it the
+/// same way, and exactly one of them stores the pair.
+#[inline]
+fn above(xj: [f64; 3], xi: [f64; 3]) -> bool {
+    xj[2] > xi[2] || (xj[2] == xi[2] && (xj[1] > xi[1] || (xj[1] == xi[1] && xj[0] > xi[0])))
 }
 
 /// Spatially reorder the *owned* atoms into bin-major order (LAMMPS'
@@ -607,18 +686,86 @@ mod tests {
         (atoms, domain)
     }
 
-    /// Brute-force pair count within cutoff using minimum image.
-    fn brute_pairs(atoms: &AtomData, domain: &Domain, cut: f64) -> u64 {
-        let n = atoms.nlocal;
-        let mut count = 0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if domain.min_image_dsq(&atoms.pos(i), &atoms.pos(j)) < cut * cut {
-                    count += 1;
+    /// A seeded melt: an fcc lattice of `cells` with every coordinate
+    /// jittered by up to `±amp`, wrapped back into the box.
+    fn jittered_melt(cells: [usize; 3], amp: f64, seed: u64) -> (AtomData, Domain) {
+        let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
+        let domain = lat.domain(cells[0], cells[1], cells[2]);
+        let mut rnd = xorshift(seed);
+        let positions: Vec<[f64; 3]> = lat
+            .positions(cells[0], cells[1], cells[2])
+            .into_iter()
+            .map(|mut p| {
+                for c in &mut p {
+                    *c += amp * (2.0 * rnd() - 1.0);
+                }
+                domain.wrap(&mut p);
+                p
+            })
+            .collect();
+        (AtomData::from_positions(&positions), domain)
+    }
+
+    /// Uniform reals in `[0, 1)` from a seeded xorshift generator.
+    fn xorshift(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The O(N²) oracle: every directed pair `(i, k, n)` of owned atoms
+    /// such that image `n` of `k` (position `x_k + n·L`, the arithmetic
+    /// ghosts use) lies within `cut` of `i`, over all 27 images.
+    fn brute_force(atoms: &AtomData, domain: &Domain, cut: f64) -> Vec<(usize, usize, [i64; 3])> {
+        let l = domain.lengths();
+        let mut pairs = Vec::new();
+        for i in 0..atoms.nlocal {
+            let xi = atoms.pos(i);
+            for k in 0..atoms.nlocal {
+                let xk = atoms.pos(k);
+                for n in (0..27).map(|c| [c / 9 - 1, c / 3 % 3 - 1, c % 3 - 1]) {
+                    if k == i && n == [0; 3] {
+                        continue;
+                    }
+                    let d: [f64; 3] = std::array::from_fn(|a| xk[a] + n[a] as f64 * l[a] - xi[a]);
+                    if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < cut * cut {
+                        pairs.push((i, k, n));
+                    }
                 }
             }
         }
-        count
+        pairs
+    }
+
+    /// Brute-force count of (undirected) pairs within `cut`.
+    fn brute_pairs(atoms: &AtomData, domain: &Domain, cut: f64) -> u64 {
+        brute_force(atoms, domain, cut).len() as u64 / 2
+    }
+
+    /// The listed pairs as `(i, k, n)`: owner `k` of entry `j` (by tag)
+    /// and the image `n` with `x_j = x_k + n·L`.
+    fn listed(
+        nl: &NeighborList,
+        atoms: &AtomData,
+        domain: &Domain,
+    ) -> Vec<(usize, usize, [i64; 3])> {
+        let l = domain.lengths();
+        let tag = atoms.tag.h_view();
+        let mut pairs = Vec::new();
+        for i in 0..nl.nlocal {
+            for s in 0..nl.numneigh.at([i]) as usize {
+                let j = nl.neighbors.at([i, s]) as usize;
+                let k = (tag.at([j]) - 1) as usize;
+                let (xj, xk) = (atoms.pos(j), atoms.pos(k));
+                let n = std::array::from_fn(|a| ((xj[a] - xk[a]) / l[a]).round() as i64);
+                pairs.push((i, k, n));
+            }
+        }
+        pairs
     }
 
     #[test]
@@ -712,6 +859,88 @@ mod tests {
         let w2 = nl.working_set_bytes(256);
         assert!(w2 > w1);
         assert!(w1 > 32.0 * 24.0);
+    }
+
+    #[test]
+    fn lists_match_brute_force_on_jittered_melts() {
+        // (cells, force cutoff, skin, jitter): a 4-cell box spans fewer
+        // than 5 bins per side, and no box is a whole number of bins;
+        // the 3.5 cutoff also overflows the first row-capacity guess.
+        let cases = [
+            ([4, 4, 4], 2.5, 0.3, 0.3),
+            ([5, 4, 6], 2.5, 0.3, 0.45),
+            ([6, 5, 5], 2.0, 0.2, 0.2),
+            ([5, 5, 5], 3.5, 0.3, 0.3),
+        ];
+        let device = Space::device(lkk_gpusim::GpuArch::h100());
+        for (c, &(cells, cutoff, skin, amp)) in cases.iter().enumerate() {
+            for seed in 0..2u64 {
+                let (mut atoms, domain) = jittered_melt(cells, amp, 17 * c as u64 + seed);
+                let half = NeighborSettings::new(cutoff, skin, true);
+                let full = NeighborSettings::new(cutoff, skin, false);
+                build_ghosts(&mut atoms, &domain, half.cutneigh());
+                let mut oracle = brute_force(&atoms, &domain, half.cutneigh());
+                oracle.sort_unstable();
+                for space in [&Space::Serial, &device] {
+                    // Full rows equal the oracle's rows as sets.
+                    let nl = NeighborList::build(&atoms, &domain, &full, space);
+                    let mut got = listed(&nl, &atoms, &domain);
+                    got.sort_unstable();
+                    assert_eq!(got, oracle, "full list, case {c}, seed {seed}");
+                    // Every oracle pair exactly once in the half list.
+                    let nl = NeighborList::build(&atoms, &domain, &half, space);
+                    let mut got: Vec<_> = listed(&nl, &atoms, &domain)
+                        .into_iter()
+                        .map(|(i, k, n)| {
+                            if i < k {
+                                (i, k, n)
+                            } else {
+                                (k, i, n.map(|a| -a))
+                            }
+                        })
+                        .collect();
+                    got.sort_unstable();
+                    let want: Vec<_> = oracle.iter().copied().filter(|&(i, k, _)| i < k).collect();
+                    assert_eq!(got, want, "half list, case {c}, seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn half_rows_are_balanced() {
+        // The coordinate ownership rule gives every atom about half of
+        // its neighbors; an index rule piles the pairs onto low rows.
+        let (mut atoms, domain) = jittered_melt([10, 10, 10], 0.3, 5);
+        let half = NeighborSettings::new(2.5, 0.3, true);
+        let full = NeighborSettings::new(2.5, 0.3, false);
+        build_ghosts(&mut atoms, &domain, half.cutneigh());
+        let max_row = |settings: &NeighborSettings| {
+            let nl = NeighborList::build(&atoms, &domain, settings, &Space::Threads);
+            (0..nl.nlocal)
+                .map(|i| nl.numneigh.at([i]))
+                .max()
+                .unwrap_or(0) as f64
+        };
+        let (h, f) = (max_row(&half), max_row(&full));
+        assert!(h <= 0.6 * f, "max half row {h} vs max full row {f}");
+    }
+
+    #[test]
+    fn lazy_working_set_matches_direct_query() {
+        let (mut atoms, domain) = lj_melt(5);
+        let full = NeighborSettings::new(2.5, 0.3, false);
+        let half = NeighborSettings::new(2.5, 0.3, true);
+        build_ghosts(&mut atoms, &domain, full.cutneigh());
+        for space in [Space::Serial, Space::device(lkk_gpusim::GpuArch::h100())] {
+            let mut nl = NeighborList::build(&atoms, &domain, &full, &space);
+            let before = nl.working_set_bytes_cached();
+            assert_eq!(before, nl.working_set_bytes(2048));
+            // A rebuild drops the cached value: the next query is fresh.
+            nl.rebuild(&atoms, &domain, &half, &space);
+            assert_eq!(nl.working_set_bytes_cached(), nl.working_set_bytes(2048));
+            assert_ne!(nl.working_set_bytes_cached(), before);
+        }
     }
 
     #[test]

@@ -31,6 +31,11 @@ cargo test -q --workspace
 echo "==> rank-equivalence + comm-validation suites (release)"
 cargo test --release -q --test rank_equivalence --test comm_validation
 
+# The benchmark package (mdbench/, its own workspace): decorated vs
+# undecorated bitwise trajectories and smoke runs of every workload.
+echo "==> mdbench tests (release)"
+cargo test --release --offline --manifest-path mdbench/Cargo.toml
+
 # --- lint-invariants job ------------------------------------------------
 
 # Workspace invariant linter (LKK001..LKK005, docs/static-analysis.md):
