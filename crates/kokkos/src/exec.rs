@@ -91,6 +91,14 @@ pub enum Space {
 
 /// Below this trip count, a threaded dispatch is not worth the fork-join
 /// overhead and falls back to the sequential loop.
+///
+/// Set from the rayon shim's `crossover_probe` (table in
+/// `docs/performance.md`, "Host dispatch: persistent workers"): on a
+/// 2-vCPU host a pooled `parallel_reduce` first beats the serial loop
+/// at ~2048 items, an integrate-sized `parallel_for` shows no reliable
+/// gain below that, and a call that must wake parked workers loses
+/// below ~8192. A compile-time constant: a threshold measured at run
+/// time would make `Threads` reductions differ between runs.
 const PAR_THRESHOLD: usize = 2048;
 
 impl Space {
@@ -215,13 +223,15 @@ impl Space {
             offsets[n] = acc;
             return acc;
         }
-        // Two-pass chunked scan. Target ~4 chunks per thread so the
-        // work-stealing scheduler can balance, with a floor of 64
-        // elements so per-task overhead stays amortized. The floor used
-        // to be a hardcoded 1024, which capped an n just above the fork
-        // threshold (2048) at two chunks no matter how many threads were
+        // Two-pass chunked scan over ~4 scan blocks per thread, with a
+        // floor of 64 elements so per-block overhead stays amortized.
+        // The shim splits the blocks statically into one contiguous run
+        // per worker (it does not steal work), so the extra blocks only
+        // shorten each block's serial prefix sum. The floor used to be a
+        // hardcoded 1024, which capped an n just above the fork
+        // threshold at two blocks no matter how many threads were
         // available; a floor that is small relative to the threshold
-        // lets the chunk count scale with `n` across the whole parallel
+        // lets the block count scale with `n` across the whole parallel
         // range.
         let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(64);
         let sums: Vec<usize> = counts.par_chunks(chunk).map(|c| c.iter().sum()).collect();

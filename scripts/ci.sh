@@ -133,6 +133,9 @@ if rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
     echo "==> miri: lkk-kokkos atomic + scatter-view unit tests (gating)"
     MIRIFLAGS="-Zmiri-seed=7 -Zmiri-strict-provenance" \
       cargo +nightly miri test -p lkk-kokkos atomic scatter
+    echo "==> miri: rayon shim worker pool (gating)"
+    MIRIFLAGS="-Zmiri-seed=7 -Zmiri-strict-provenance" \
+      cargo +nightly miri test -p rayon
   else
     echo "==> miri not installed for nightly; skipping (rustup component add miri --toolchain nightly)"
   fi
